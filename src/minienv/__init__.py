@@ -20,7 +20,6 @@ from .fock import (
     FockOperator,
     SpectralDecomposition,
     annihilation,
-    creation,
     fidelity,
     hermitian_eigendecompose,
     identity,

@@ -40,6 +40,7 @@ FIGURE_PARAMS = {
 CANONICAL_MODELS = (Model.MASTER, Model.AMPLITUDE, Model.KERR)
 ENGINES = ("analytic", "brute-force", "both")
 BRUTE_TAIL_TOL = 1e-8
+SWEEP_KEYS = ("model", "alpha0", "nbar", "rate", "tmax", "points", "engine", "output")
 
 
 def _fmt(x: float) -> str:
@@ -89,8 +90,8 @@ class RunSpec:
     def validate(self):
         if self.points < 2:
             raise ValueError("points must be at least 2")
-        if self.tmax <= 0:
-            raise ValueError("tmax must be positive")
+        if not (self.tmax > 0 and np.isfinite(self.tmax)):
+            raise ValueError("tmax must be positive and finite")
         if self.engine not in ENGINES:
             raise ValueError(f"engine must be one of {ENGINES}")
         if not self.models:
@@ -108,7 +109,21 @@ def _parse_models(text: str) -> tuple[Model, ...]:
     return tuple(m for m in CANONICAL_MODELS if m in chosen)
 
 
-def _parse_spec_file(path: str) -> dict[str, str]:
+SPEC_CONVERTERS = {
+    "model": ("models", _parse_models),
+    "alpha0": ("alpha0", complex),
+    "nbar": ("nbar", float),
+    "rate": ("rate", float),
+    "tmax": ("tmax", float),
+    "points": ("points", int),
+    "engine": ("engine", str),
+    "output": ("output", str),
+    "tail_tol": ("tail_tol", float),
+    "joint_tail_tol": ("joint_tail_tol", float),
+}
+
+
+def _parse_spec_file(path: str, known_keys) -> dict[str, str]:
     values: dict[str, str] = {}
     try:
         text = Path(path).read_text()
@@ -123,28 +138,16 @@ def _parse_spec_file(path: str) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key or not value:
             raise ValueError(f"{path}:{lineno}: empty key or value")
+        if key not in known_keys:
+            raise ValueError(f"{path}:{lineno}: unknown spec key {key!r}")
         values[key] = value
     return values
 
 
 def _spec_from_sources(file_values: dict[str, str], args) -> RunSpec:
     spec = RunSpec()
-    converters = {
-        "model": ("models", _parse_models),
-        "alpha0": ("alpha0", complex),
-        "nbar": ("nbar", float),
-        "rate": ("rate", float),
-        "tmax": ("tmax", float),
-        "points": ("points", int),
-        "engine": ("engine", str),
-        "output": ("output", str),
-        "tail_tol": ("tail_tol", float),
-        "joint_tail_tol": ("joint_tail_tol", float),
-    }
     for key, value in file_values.items():
-        if key not in converters:
-            raise ValueError(f"unknown spec key {key!r}")
-        field, conv = converters[key]
+        field, conv = SPEC_CONVERTERS[key]
         try:
             spec = replace(spec, **{field: conv(value)})
         except ValueError as exc:
@@ -198,6 +201,8 @@ def _brute_force_column(model: Model, spec: RunSpec, times: np.ndarray) -> np.nd
 
 
 def cmd_figure(args) -> int:
+    if args.points < 2:
+        raise ValueError("points must be at least 2")
     alpha0, nbar = FIGURE_PARAMS[args.id]
     times = np.linspace(0.0, args.tmax, args.points)
     columns = [times]
@@ -221,7 +226,7 @@ def cmd_figure(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    file_values = _parse_spec_file(args.spec) if args.spec else {}
+    file_values = _parse_spec_file(args.spec, SPEC_CONVERTERS) if args.spec else {}
     spec = _spec_from_sources(file_values, args)
     times = np.linspace(0.0, spec.tmax, spec.points)
     engines = ("analytic", "brute") if spec.engine == "both" else (
@@ -230,9 +235,9 @@ def cmd_simulate(args) -> int:
     header = ["t"]
     columns = [times]
     for model in spec.models:
+        p = ModelParams(spec.alpha0, spec.nbar, spec.rate, model)
         for engine in engines:
             if engine == "analytic":
-                p = ModelParams(spec.alpha0, spec.nbar, spec.rate, model)
                 columns.append(entropy_series(p, times).zeta)
             else:
                 columns.append(_brute_force_column(model, spec, times))
@@ -257,7 +262,9 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    values = _parse_spec_file(args.spec)
+    values = _parse_spec_file(args.spec, SWEEP_KEYS)
+    if values.get("engine", "analytic") != "analytic":
+        raise ValueError("sweep runs the analytic engine only; use simulate for brute force")
     models = _parse_models(values.get("model", "master,amplitude,kerr"))
     alphas = [complex(tok) for tok in values.get("alpha0", "1").split(",")]
     nbars = [float(tok) for tok in values.get("nbar", "1").split(",")]
@@ -265,8 +272,8 @@ def cmd_sweep(args) -> int:
     tmax = float(values.get("tmax", "3"))
     points = int(values.get("points", "200"))
     output = args.output or values.get("output", "sweep.csv")
-    if points < 2 or tmax <= 0:
-        raise ValueError("sweep needs points >= 2 and tmax > 0")
+    if points < 2 or not (tmax > 0 and np.isfinite(tmax)):
+        raise ValueError("sweep needs points >= 2 and a positive finite tmax")
     times = np.linspace(0.0, tmax, points)
     rows_model, rows_a, rows_n, rows_r, rows_t, rows_z = [], [], [], [], [], []
     for model, alpha0, nbar, rate in product(models, alphas, nbars, rates):
@@ -363,6 +370,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except MiniEnvError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except OverflowError as exc:
+        print(f"error: numerical overflow: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

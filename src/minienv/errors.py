@@ -14,4 +14,4 @@ class NumericalContractError(MiniEnvError):
 
 
 class IntegrationFailureError(MiniEnvError):
-    """The fixed-step integrator detected instability or drift beyond its bounds."""
+    """A master-equation snapshot broke its trace or positivity bound."""

@@ -17,8 +17,8 @@ import numpy as np
 
 from .errors import NumericalContractError
 
-# Hermiticity / positivity tolerances scale with matrix dimension; accumulated
-# fixed-step RK4 roundoff at desk scale stays well inside these bounds.
+# Hermiticity / positivity tolerances scale with matrix dimension; roundoff from
+# state construction and propagation at desk scale stays well inside these bounds.
 HERMITICITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-10
 
@@ -105,10 +105,6 @@ def annihilation(cutoff: int) -> FockOperator:
         raise ValueError(f"cutoff must be at least 1, got {cutoff}")
     mat = np.diag(np.sqrt(np.arange(1.0, cutoff + 1)), k=1)
     return single_mode(mat)
-
-
-def creation(cutoff: int) -> FockOperator:
-    return annihilation(cutoff).dagger()
 
 
 def number_operator(cutoff: int) -> FockOperator:

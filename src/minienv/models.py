@@ -22,7 +22,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CutoffTooSmallError
+from .errors import CutoffTooSmallError, NumericalContractError
 from .states import min_cutoff_for_thermal, thermal_tail, thermal_weights
 
 # Default tail tolerance for the truncated double sum of the cross-Kerr
@@ -55,6 +55,8 @@ class ModelParams:
         object.__setattr__(self, "rate", float(self.rate))
         object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "model", Model(self.model))
+        if not np.all(np.isfinite([self.alpha0, self.nbar, self.rate, self.omega])):
+            raise ValueError("alpha0, nbar, rate and omega must be finite")
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
         if self.nbar < 0:
@@ -193,6 +195,8 @@ class EntropySeries:
             raise ValueError("zeta and times must have matching shapes")
         if times.size > 1 and not np.all(np.diff(times) > 0):
             raise ValueError("times must be strictly ascending")
+        if not np.all(np.isfinite(zeta)):
+            raise NumericalContractError("zeta contains NaN or Inf")
         bound = 2.0 * self.params.nbar / (1.0 + 2.0 * self.params.nbar) + 1e-9
         if np.any(zeta < -1e-12) or np.any(zeta > bound):
             raise ValueError("zeta values leave the [0, plateau] band")

@@ -21,6 +21,7 @@ from .fock import FockOperator, single_mode
 DEFAULT_TAIL_TOL = 1e-10
 
 _MAX_SCAN = 1_000_000
+_LOG_UNDERFLOW = -700.0   # exp() of anything above stays a normal float
 
 
 def nbar_of_temperature(hbar_omega_over_kT: float) -> float:
@@ -85,18 +86,30 @@ def thermal_tail(nbar: float, cutoff: int) -> float:
 
 
 def min_cutoff_for_coherent(alpha: complex, tol: float) -> int:
-    """Smallest cutoff whose Poisson tail is below tol, found by direct scan."""
+    """Smallest cutoff whose Poisson tail is below tol, found by direct scan.
+
+    The scan skips the leading terms that underflow, so it works at any |alpha|;
+    a tol that the summed mass cannot resolve raises CutoffTooSmallError.
+    """
     a2 = abs(complex(alpha)) ** 2
     if a2 == 0.0:
         return 0
-    term = math.exp(-a2)
-    cum = term
+    log_a2 = math.log(a2)
     c = 0
+    while c * log_a2 - a2 - math.lgamma(c + 1) < _LOG_UNDERFLOW:
+        c += 1
+    term = math.exp(c * log_a2 - a2 - math.lgamma(c + 1))
+    cum = term
     while 1.0 - cum >= tol:
         c += 1
         if c > _MAX_SCAN:
             raise ValueError(f"no cutoff below {_MAX_SCAN} reaches tail < {tol}")
         term *= a2 / c
+        if c > a2 and cum + term == cum:
+            raise CutoffTooSmallError(
+                f"coherent state alpha={complex(alpha)}: tail mass cannot be brought "
+                f"below tolerance {tol:.3e} in double precision"
+            )
         cum += term
     return c
 

@@ -57,6 +57,9 @@ class TestFigure:
             main(["figure", "9"])
         assert exc.value.code == 2
 
+    def test_single_point_is_usage_error(self, tmp_path):
+        assert main(["figure", "1", "--points", "1", "--output", str(tmp_path / "f.csv")]) == 2
+
     def test_dat_mirror(self, tmp_path):
         out = tmp_path / "fig2.csv"
         assert main(["figure", "2", "--output", str(out), "--points", "50", "--dat"]) == 0
@@ -80,6 +83,32 @@ class TestSimulate:
         assert header == ["t", "zeta_master_analytic", "zeta_master_brute"]
         delta = np.abs(data["zeta_master_analytic"] - data["zeta_master_brute"])
         assert delta.max() < 1e-5
+
+    def test_master_brute_force_at_zero_temperature(self, tmp_path):
+        out = tmp_path / "sim.csv"
+        code = main([
+            "simulate", "--model", "master", "--alpha0", "2", "--nbar", "0",
+            "--engine", "both", "--tmax", "3", "--points", "40", "--output", str(out),
+        ])
+        assert code == 0
+        _, _, data = read_csv(out)
+        delta = np.abs(data["zeta_master_analytic"] - data["zeta_master_brute"])
+        assert delta.max() < 1e-5
+
+    @pytest.mark.parametrize("model,nbar", [("master", "inf"), ("amplitude", "nan")])
+    def test_non_finite_nbar_is_usage_error(self, tmp_path, model, nbar):
+        out = tmp_path / "sim.csv"
+        assert main(["simulate", "--model", model, "--nbar", nbar, "--output", str(out)]) == 2
+        assert not out.exists()
+
+    def test_overflow_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code = main([
+            "simulate", "--model", "kerr", "--rate", "1e300", "--alpha0", "1e200",
+            "--output", str(out),
+        ])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
 
     def test_kerr_zero_temperature_column(self, tmp_path):
         out = tmp_path / "sim.csv"
@@ -175,6 +204,18 @@ class TestSweep:
         # tuples ordered by (model, alpha0), time fastest
         labels = [(r[0], r[1]) for r in rows]
         assert labels == sorted(labels, key=lambda x: (x[0] != "master", x[1]))
+
+
+    def test_unknown_key_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("modle = kerr\nalpha0 = 1\npoints = 5\n")
+        assert main(["sweep", "--spec", str(spec), "--output", str(tmp_path / "s.csv")]) == 2
+        assert "unknown spec key 'modle'" in capsys.readouterr().err
+
+    def test_brute_force_engine_is_usage_error(self, tmp_path):
+        spec = tmp_path / "sweep.spec"
+        spec.write_text("model = master\nengine = brute-force\npoints = 5\n")
+        assert main(["sweep", "--spec", str(spec), "--output", str(tmp_path / "s.csv")]) == 2
 
 
 class TestValidateCommand:

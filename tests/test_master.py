@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minienv import fock, master, states
-from minienv.errors import IntegrationFailureError
+from minienv.errors import NumericalContractError
 from minienv.models import Model, ModelParams
 
 
@@ -86,15 +86,31 @@ class TestEvolve:
             assert abs(fock.trace(snap).real - trace0) < 1e-8
             assert fock.min_eigenvalue(snap) >= -1e-8
 
-    def test_oversized_step_detected(self):
-        cfg = master.LindbladConfig(gamma=1.0, nbar=1.0, cutoff=40, step=0.05)
-        with pytest.raises(IntegrationFailureError):
-            master.evolve_master(coherent_rho(2.0, 40), cfg, np.linspace(0.0, 3.0, 10))
+    @pytest.mark.parametrize("nbar", [0.0, 1.3])
+    def test_blocks_match_dense_generator(self, nbar):
+        cutoff = 9
+        d = cutoff + 1
+        cfg = master.LindbladConfig(gamma=0.8, nbar=nbar, cutoff=cutoff, omega=0.5)
+        basis = np.eye(d * d).reshape(d * d, d, d)
+        dense = np.column_stack([
+            master.lindblad_rhs(fock.single_mode(unit), cfg).entries.ravel() for unit in basis
+        ])
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        rho0 = m @ m.conj().T
+        rho0 /= np.trace(rho0).real
+        times = np.array([0.2, 0.5, 1.7])
+        snaps = master.evolve_master(fock.single_mode(rho0), cfg, times)
+        for t, snap in zip(times, snaps):
+            ref = master.expm(dense * t) @ rho0.ravel()
+            assert np.abs(snap.entries.ravel() - ref).max() <= 1e-12
 
-    def test_richardson_refine_passes_at_default_step(self):
-        cutoff = master.default_cutoff(1.5, 1.0)
-        cfg = master.LindbladConfig(gamma=1.0, nbar=1.0, cutoff=cutoff, refine=True)
-        master.evolve_master(coherent_rho(1.5, cutoff), cfg, np.linspace(0.0, 2.0, 11))
+    def test_rejects_non_hermitian_initial_state(self):
+        cfg = master.LindbladConfig(gamma=1.0, nbar=1.0, cutoff=3)
+        rho = np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
+        rho[0, 1] = 0.1
+        with pytest.raises(NumericalContractError):
+            master.evolve_master(fock.single_mode(rho), cfg, [0.0, 1.0])
 
     def test_free_rotation_leaves_purity(self):
         cutoff = master.default_cutoff(1.5, 1.0)
@@ -117,6 +133,20 @@ class TestEvolve:
                                      np.linspace(0.0, 2.5, 40))
         zeta = np.array([1.0 - fock.purity(s) for s in snaps])
         assert np.diff(zeta).min() >= -1e-8
+
+
+class TestExpm:
+    def test_matches_eigh_route_for_unitary_propagator(self):
+        rng = np.random.default_rng(3)
+        for dim, t in ((6, 0.3), (20, 4.0)):
+            m = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            h = 0.5 * (m + m.conj().T)
+            w, v = np.linalg.eigh(h)
+            ref = (v * np.exp(-1j * w * t)) @ v.conj().T
+            assert np.abs(master.expm(-1j * t * h) - ref).max() <= 1e-12
+
+    def test_zero_matrix_gives_identity(self):
+        assert np.array_equal(master.expm(np.zeros((4, 4))), np.eye(4))
 
 
 class TestClosedFormState:
@@ -149,11 +179,10 @@ class TestDefaults:
         assert master.default_cutoff(2.0, 1.0) >= 17
         assert master.default_cutoff(0.0, 25.0) >= states.min_cutoff_for_thermal(25.0, 1e-10)
 
-    def test_resolved_step_respects_cap(self):
-        cfg = master.LindbladConfig(gamma=2.0, nbar=1.0, cutoff=5)
-        assert master.resolved_step(cfg) <= master.MAX_STEP / 2.0
-        explicit = master.LindbladConfig(gamma=2.0, nbar=1.0, cutoff=5, step=0.01)
-        assert master.resolved_step(explicit) == pytest.approx(0.005)
+    def test_default_cutoff_covers_coherent_tail_at_zero_temperature(self):
+        for alpha0 in (0.5, 2.0, 5.0, 2.0 + 1.0j):
+            cutoff = master.default_cutoff(alpha0, 0.0)
+            assert states.coherent_tail(alpha0, cutoff) < 1e-10
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minienv import models
-from minienv.errors import CutoffTooSmallError
+from minienv.errors import CutoffTooSmallError, NumericalContractError
 from minienv.models import EntropySeries, Model, ModelParams
 
 
@@ -302,6 +302,18 @@ class TestRecurrenceTime:
         assert models.recurrence_time(params(Model.MASTER)) is None
 
 
+class TestModelParams:
+    @pytest.mark.parametrize("field,value", [
+        ("alpha0", complex(1.0, math.nan)), ("nbar", math.inf),
+        ("rate", math.nan), ("omega", math.inf),
+    ])
+    def test_rejects_non_finite(self, field, value):
+        kwargs = dict(alpha0=1.0, nbar=1.0, rate=1.0, model=Model.KERR)
+        kwargs[field] = value
+        with pytest.raises(ValueError, match="finite"):
+            ModelParams(**kwargs)
+
+
 class TestEntropySeries:
     def test_rejects_descending_grid(self):
         p = params(Model.MASTER)
@@ -317,6 +329,11 @@ class TestEntropySeries:
         p = params(Model.MASTER, nbar=1.0)
         with pytest.raises(ValueError):
             EntropySeries(np.array([0.0, 1.0]), np.array([1e-6, 0.5]), Model.MASTER, p)
+
+    def test_rejects_non_finite_values(self):
+        p = params(Model.MASTER, nbar=1.0)
+        with pytest.raises(NumericalContractError):
+            EntropySeries(np.array([0.0, 1.0]), np.array([0.0, np.nan]), Model.MASTER, p)
 
     def test_series_construction(self):
         p = params(Model.AMPLITUDE, nbar=2.0)

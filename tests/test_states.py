@@ -57,6 +57,15 @@ class TestCoherentState:
         with pytest.raises(CutoffTooSmallError):
             states.coherent_state(states.CoherentSpec(5.0, c - 1), tol=1e-6)
 
+    def test_min_cutoff_scan_beyond_exp_underflow(self):
+        # exp(-900) underflows to 0, so the scan must not start from it
+        c = states.min_cutoff_for_coherent(30.0, 1e-10)
+        assert states.coherent_tail(30.0, c) < 1e-10 <= states.coherent_tail(30.0, c - 1)
+
+    def test_min_cutoff_unresolvable_tolerance(self):
+        with pytest.raises(CutoffTooSmallError, match="tail mass"):
+            states.min_cutoff_for_coherent(5.0, 1e-30)
+
     def test_trace_deficit_equals_tail(self):
         spec = states.CoherentSpec(2.0, 12)
         rho = states.coherent_state(spec, tol=1.0)
