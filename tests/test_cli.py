@@ -205,7 +205,6 @@ class TestSweep:
         labels = [(r[0], r[1]) for r in rows]
         assert labels == sorted(labels, key=lambda x: (x[0] != "master", x[1]))
 
-
     def test_unknown_key_is_usage_error(self, tmp_path, capsys):
         spec = tmp_path / "sweep.spec"
         spec.write_text("modle = kerr\nalpha0 = 1\npoints = 5\n")
