@@ -18,10 +18,7 @@ from .errors import (
 )
 from .fock import (
     FockOperator,
-    SpectralDecomposition,
     annihilation,
-    fidelity,
-    hermitian_eigendecompose,
     identity,
     linear_entropy,
     number_operator,

@@ -71,18 +71,6 @@ class FockOperator:
         return float(np.abs(self.entries - self.entries.conj().T).max())
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralDecomposition:
-    """Eigensystem of a hermitian operator, eigenvalues ascending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
-
-
 def single_mode(entries) -> FockOperator:
     """Wrap a square matrix as a single-mode operator."""
     entries = np.asarray(entries)
@@ -124,11 +112,11 @@ def tensor(a: FockOperator, b: FockOperator) -> FockOperator:
     return two_mode(np.kron(a.entries, b.entries), (a.dim, b.dim))
 
 
-def _require_hermitian(op: FockOperator, error_cls=NumericalContractError, what="operator"):
+def _require_hermitian(op: FockOperator, what="operator"):
     defect = op.hermiticity_defect()
     tol = HERMITICITY_TOL * op.dim
     if defect > tol:
-        raise error_cls(
+        raise NumericalContractError(
             f"{what} is not hermitian within tolerance: defect {defect:.3e} > {tol:.3e}"
         )
 
@@ -163,30 +151,11 @@ def linear_entropy(rho: FockOperator, trace_tol: float = 1e-3) -> float:
     return 1.0 - purity(rho, trace_tol=trace_tol)
 
 
-def hermitian_eigendecompose(h: FockOperator) -> SpectralDecomposition:
-    """Eigendecomposition of a hermitian operator, eigenvalues ascending."""
-    _require_hermitian(h, error_cls=ValueError, what="eigendecomposition input")
-    evals, evecs = np.linalg.eigh(h.entries)
-    evals.setflags(write=False)
-    evecs.setflags(write=False)
-    return SpectralDecomposition(evals, evecs)
-
-
 def trace_distance(a: FockOperator, b: FockOperator) -> float:
     """Half the trace norm of the (hermitian) difference of two states."""
     diff = a.entries - b.entries
     diff = 0.5 * (diff + diff.conj().T)
     return float(0.5 * np.abs(np.linalg.eigvalsh(diff)).sum())
-
-
-def fidelity(a: FockOperator, b: FockOperator) -> float:
-    """Uhlmann fidelity (Tr sqrt(sqrt(a) b sqrt(a)))^2 of two density matrices."""
-    w, v = np.linalg.eigh(a.entries)
-    w = np.clip(w, 0.0, None)
-    sq = (v * np.sqrt(w)) @ v.conj().T
-    inner = sq @ b.entries @ sq
-    ev = np.clip(np.linalg.eigvalsh(inner), 0.0, None)
-    return float(np.sqrt(ev).sum() ** 2)
 
 
 def min_eigenvalue(rho: FockOperator) -> float:

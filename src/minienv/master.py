@@ -20,13 +20,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IntegrationFailureError
+from .errors import IntegrationFailureError, MiniEnvError
 from .fock import FockOperator, _require_hermitian, single_mode
 from .models import Model, ModelParams, master_solution_params
 from .states import displaced_thermal_state, min_cutoff_for_coherent, min_cutoff_for_thermal
 
 TRACE_DRIFT_TOL = 1e-8
 MIN_EIGENVALUE_TOL = -1e-8
+# Largest snapshot storage (points d^2 16 bytes) and block work (distinct steps
+# d^4) a run may ask for; one distinct step at d = 181 takes about 2 s.
+MAX_RUN_SIZE = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -104,7 +107,8 @@ def evolve_master(rho0: FockOperator, cfg: LindbladConfig, times) -> list[FockOp
     from the truncated matrix elements that ``lindblad_rhs`` uses, and takes
     one matrix exponential per distinct step of the grid.  Every snapshot is
     assembled hermitian from its diagonals; its trace drift must stay within
-    1e-8 and its spectrum above -1e-8.
+    1e-8 and its spectrum above -1e-8.  A run whose snapshot bytes or block
+    work exceeds ``MAX_RUN_SIZE`` is refused before anything is allocated.
     """
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 1:
@@ -115,14 +119,22 @@ def evolve_master(rho0: FockOperator, cfg: LindbladConfig, times) -> list[FockOp
         raise ValueError(
             f"initial state dimension {rho0.dim} does not match cutoff {cfg.cutoff}"
         )
-    _require_hermitian(rho0, what="initial state")
     d = cfg.cutoff + 1
+    steps = np.diff(times, prepend=0.0)
+    snapshot_bytes = times.size * d * d * 16
+    block_work = np.unique(steps[steps > 0.0]).size * d ** 4
+    if max(snapshot_bytes, block_work) > MAX_RUN_SIZE:
+        raise MiniEnvError(
+            f"master run too large at dimension {d}: {snapshot_bytes:.3g} snapshot bytes and "
+            f"{block_work:.3g} block work (distinct steps x d^4); the limit is "
+            f"{MAX_RUN_SIZE:.3g} for each"
+        )
+    _require_hermitian(rho0, what="initial state")
     r0 = 0.5 * (rho0.entries + rho0.entries.conj().T)
     trace0 = float(np.trace(r0).real)
     a, _, num, a_ad = _mode_ops(cfg.cutoff)
     s, n, c = np.diagonal(a, 1), np.diagonal(num), np.diagonal(a_ad)
     g_down, g_up = cfg.gamma * (1.0 + cfg.nbar), cfg.gamma * cfg.nbar
-    steps = np.diff(times, prepend=0.0)
     snaps = [np.zeros((d, d), dtype=np.complex128) for _ in times]
     for k in range(d):
         size = d - k

@@ -22,12 +22,13 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import CutoffTooSmallError, NumericalContractError
-from .states import min_cutoff_for_thermal, thermal_tail, thermal_weights
+from .errors import MiniEnvError, NumericalContractError
 
-# Default tail tolerance for the truncated double sum of the cross-Kerr
-# entropy; the truncation error is bounded by twice the tail mass.
-KERR_TAIL_TOL = 1e-8
+# Bessel orders grow as 9 sqrt(2) |alpha0|; at this limit (|alpha0| near 8e4)
+# the weight grid holds 16 MB and a 2000-point series about 2e9 terms
+MAX_BESSEL_ORDER = 1 << 20
+# entries of one (times x orders) block of the cross-Kerr series
+_BLOCK_ELEMENTS = 1 << 18
 
 _CROSSING_FRACTION = 1.0 - math.exp(-1.0)
 
@@ -109,46 +110,59 @@ def amplitude_linear_entropy(t, p: ModelParams):
     return _scalar_like(t, 1.0 - 1.0 / (1.0 + x))
 
 
-def kerr_kmax(nbar: float, tail_tol: float = KERR_TAIL_TOL) -> int:
-    """Smallest truncation of the thermal sum with tail mass below tolerance."""
-    return min_cutoff_for_thermal(nbar, tail_tol)
+def bessel_weights(x: float) -> np.ndarray:
+    """Weights e^{-x} I_n(x) for n = 0 .. ceil(9 sqrt(x) + 32).
+
+    They are the Fourier coefficients of exp(-x (1 - cos phi)) (Jacobi-Anger),
+    taken by the trapezoid rule on a power-of-two grid of at least twice as
+    many points, so aliasing only folds in orders whose weight is below 1e-17.
+    Over all integer orders (w_{-n} = w_n) they sum to 1.
+    """
+    orders = math.ceil(9.0 * math.sqrt(x) + 32.0)
+    if orders > MAX_BESSEL_ORDER:
+        raise MiniEnvError(
+            f"|alpha0|^2 = {x / 2:.6g} needs {orders} Bessel orders; the limit is "
+            f"{MAX_BESSEL_ORDER}"
+        )
+    grid = 1 << (2 * orders - 1).bit_length()
+    sin_half = np.sin(np.pi / grid * np.arange(grid))
+    dephase = np.exp(-2.0 * x * sin_half ** 2)
+    return np.fft.rfft(dephase).real[: orders + 1] / grid
 
 
-def kerr_linear_entropy(t, p: ModelParams, kmax: int | None = None,
-                        tail_tol: float = KERR_TAIL_TOL):
-    """Double sum over thermal weights of coherent-overlap dephasing factors.
+def kerr_linear_entropy(t, p: ModelParams):
+    """Exact series sum over integer n of e^{-x} I_n(x) s_n / (1 + s_n).
 
-    The truncated weights are renormalized so the value at t = 0 vanishes
-    exactly; the truncation error against the infinite sum stays bounded by
-    twice the tail mass.  Period 2 pi / rate.
+    Here x = 2 |alpha0|^2 and s_n = 4 nbar (nbar + 1) sin^2(n rate t / 2):
+    Jacobi-Anger expands every coherent overlap and the geometric thermal
+    weights sum in closed form, so nothing is truncated but the Bessel orders
+    and zeta(0) = 0 exactly.  Orders are summed in blocks, so memory does not
+    grow with alpha0.  Period 2 pi / rate.
     """
     _require_model(p, Model.KERR, "kerr_linear_entropy")
     tt = _check_times(t)
-    if kmax is None:
-        kmax = kerr_kmax(p.nbar, tail_tol)
-    elif thermal_tail(p.nbar, kmax) >= tail_tol:
-        raise CutoffTooSmallError(
-            f"kmax={kmax} leaves thermal tail {thermal_tail(p.nbar, kmax):.3e} "
-            f">= tolerance {tail_tol:.3e} at nbar={p.nbar}"
-        )
-    w = thermal_weights(p.nbar, kmax)
-    w = w / w.sum()
-    # collapse the double sum over (k, l) to a single sum over d = k - l
-    pair = np.array([w[d:] @ w[: kmax + 1 - d] for d in range(kmax + 1)])
-    d = np.arange(kmax + 1)
-    a2 = abs(p.alpha0) ** 2
-    dephase = 1.0 - np.cos(p.rate * np.multiply.outer(tt, d))
-    kept = (np.exp(-2.0 * a2 * dephase) * pair).sum(axis=-1) * 2.0 - pair[0]
-    return _scalar_like(t, np.maximum(0.0, 1.0 - kept))
+    w = bessel_weights(2.0 * abs(p.alpha0) ** 2)
+    gain = 4.0 * p.nbar * (p.nbar + 1.0)
+    if math.isinf(gain):
+        raise OverflowError(f"4 nbar (nbar + 1) overflows at nbar={p.nbar:g}")
+    half_angle = 0.5 * p.rate * tt.ravel()
+    zeta = np.zeros(half_angle.size)
+    step = max(1, _BLOCK_ELEMENTS // max(1, half_angle.size))
+    # s_0 = 0, and orders n and -n contribute alike
+    for lo in range(1, w.size, step):
+        n = np.arange(lo, min(lo + step, w.size))
+        s = gain * np.sin(np.multiply.outer(half_angle, n)) ** 2
+        zeta += (s / (1.0 + s)) @ w[n]
+    return _scalar_like(t, np.maximum(0.0, 2.0 * zeta).reshape(tt.shape))
 
 
-def linear_entropy_of_model(t, p: ModelParams, kmax: int | None = None):
+def linear_entropy_of_model(t, p: ModelParams):
     """Dispatch to the closed form matching ``p.model``."""
     if p.model is Model.MASTER:
         return master_linear_entropy(t, p)
     if p.model is Model.AMPLITUDE:
         return amplitude_linear_entropy(t, p)
-    return kerr_linear_entropy(t, p, kmax=kmax)
+    return kerr_linear_entropy(t, p)
 
 
 def master_solution_params(t: float, p: ModelParams) -> tuple[complex, float]:
@@ -211,17 +225,10 @@ class EntropySeries:
         object.__setattr__(self, "zeta", zeta)
 
 
-def entropy_series(p: ModelParams, times, kmax: int | None = None) -> EntropySeries:
+def entropy_series(p: ModelParams, times) -> EntropySeries:
     """Evaluate the model's closed form on a grid."""
     times = np.asarray(times, dtype=float)
-    return EntropySeries(times, linear_entropy_of_model(times, p, kmax=kmax), p.model, p)
-
-
-def _dephased_overlap_mean(x: float) -> float:
-    # mean over a uniform phase of exp(-x (1 - cos theta))
-    if x > 600.0:
-        return (1.0 + 1.0 / (8.0 * x)) / math.sqrt(2.0 * math.pi * x)
-    return math.exp(-x) * float(np.i0(x))
+    return EntropySeries(times, linear_entropy_of_model(times, p), p.model, p)
 
 
 def analytic_plateau(p: ModelParams) -> float:
@@ -230,8 +237,8 @@ def analytic_plateau(p: ModelParams) -> float:
     For the bath and exchange models this is the exact maximum
     2 nbar / (1 + 2 nbar).  The cross-Kerr entropy has no closed-form maximum;
     its plateau is the level reached once every unequal-occupation pair has
-    dephased to its time-averaged overlap, which lies below the diagonal bound
-    and depends on alpha0.
+    dephased to its time-averaged overlap, the n = 0 Bessel weight
+    e^{-x} I_0(x) at x = 2 |alpha0|^2; it lies below the diagonal bound.
     """
     if p.nbar == 0:
         return 0.0
@@ -242,7 +249,7 @@ def analytic_plateau(p: ModelParams) -> float:
     if a2 == 0:
         return 0.0
     w0 = 1.0 / (1.0 + 2.0 * p.nbar)
-    return 1.0 - w0 - (1.0 - w0) * _dephased_overlap_mean(2.0 * a2)
+    return 1.0 - w0 - (1.0 - w0) * bessel_weights(2.0 * a2)[0]
 
 
 def decoherence_time_estimate(p: ModelParams) -> float:

@@ -86,10 +86,12 @@ def thermal_tail(nbar: float, cutoff: int) -> float:
 
 
 def min_cutoff_for_coherent(alpha: complex, tol: float) -> int:
-    """Smallest cutoff whose Poisson tail is below tol, found by direct scan.
+    """Smallest cutoff c with coherent_tail(alpha, c) < tol <= coherent_tail(alpha, c - 1).
 
-    The scan skips the leading terms that underflow, so it works at any |alpha|;
-    a tol that the summed mass cannot resolve raises CutoffTooSmallError.
+    A scan of the summed mass finds the neighbourhood; it skips the leading
+    terms that underflow, so it works at any |alpha|, and a tol that the summed
+    mass cannot resolve raises CutoffTooSmallError.  Roundoff in that sum grows
+    with |alpha|, so the answer is settled with the directly summed tail.
     """
     a2 = abs(complex(alpha)) ** 2
     if a2 == 0.0:
@@ -111,6 +113,10 @@ def min_cutoff_for_coherent(alpha: complex, tol: float) -> int:
                 f"below tolerance {tol:.3e} in double precision"
             )
         cum += term
+    while coherent_tail(alpha, c) >= tol:
+        c += 1
+    while c > 0 and coherent_tail(alpha, c - 1) < tol:
+        c -= 1
     return c
 
 

@@ -189,15 +189,16 @@ def check_shared_functional_form() -> str:
     return f"1 - 1/(1+x) forms agree at matched x within {worst:.2e}"
 
 
-def check_kerr_kmax_stability() -> str:
-    p = ModelParams(1.5, 2.0, 1.0, Model.KERR)
-    ts = np.linspace(0.0, 3.0, 50)
-    kmax = models.kerr_kmax(p.nbar)
-    base = models.kerr_linear_entropy(ts, p, kmax=kmax)
-    raised = models.kerr_linear_entropy(ts, p, kmax=kmax + 10)
-    worst = float(np.abs(base - raised).max())
-    assert worst <= 2 * models.KERR_TAIL_TOL, f"kmax sensitivity {worst:.3e}"
-    return f"kmax -> kmax+10 moves the entropy by at most {worst:.2e}"
+def check_kerr_bessel_weights() -> str:
+    worst_sum, worst_i0 = 0.0, 0.0
+    for x in (0.02, 2.0, 50.0, 600.0):
+        w = models.bessel_weights(x)
+        worst_sum = max(worst_sum, abs(w[0] + 2.0 * w[1:].sum() - 1.0))
+        worst_i0 = max(worst_i0, abs(w[0] - math.exp(-x) * float(np.i0(x))))
+    assert worst_sum <= 1e-15, f"Bessel weight sum defect {worst_sum:.3e}"
+    assert worst_i0 <= 1e-15, f"n=0 weight vs exp(-x) I_0(x) defect {worst_i0:.3e}"
+    return (f"Bessel weights sum to 1 within {worst_sum:.2e}, n=0 weight matches "
+            f"exp(-x) I_0(x) within {worst_i0:.2e}")
 
 
 def check_kerr_short_time() -> str:
@@ -355,15 +356,15 @@ def check_joint_kerr_two_routes() -> str:
     worst = 0.0
     for alpha0, nbar in ((1.0, 1.0), (2.0, 2.0), (0.5, 1.5)):
         cutoff_a = max(states.min_cutoff_for_coherent(alpha0, 1e-12), 10)
-        kmax = models.kerr_kmax(nbar, 1e-12)
-        cfg = joint.JointConfig(cutoff_a, kmax, 1.0, Model.KERR)
+        cutoff_b = states.min_cutoff_for_thermal(nbar, 1e-12)
+        cfg = joint.JointConfig(cutoff_a, cutoff_b, 1.0, Model.KERR)
         p = ModelParams(alpha0, nbar, 1.0, Model.KERR)
         for t in (0.3, 1.0, 2.6):
             direct = 1.0 - fock.purity(joint.evolve_kerr_reduced(alpha0, nbar, t, cfg))
-            summed = models.kerr_linear_entropy(t, p, kmax=kmax, tail_tol=1e-11)
-            worst = max(worst, abs(direct - summed))
+            series = models.kerr_linear_entropy(t, p)
+            worst = max(worst, abs(direct - series))
     assert worst <= 1e-8, f"kerr route disagreement {worst:.3e}"
-    return f"matrix purity and overlap double sum agree within {worst:.2e}"
+    return f"matrix purity and Bessel series agree within {worst:.2e}"
 
 
 def check_joint_kerr_partial_trace() -> str:
@@ -455,7 +456,7 @@ def _registry(lowered_cutoff: int | None):
         ("analytic.zero_temperature", check_zero_temperature),
         ("analytic.periodicity", check_periodicity),
         ("analytic.shared_functional_form", check_shared_functional_form),
-        ("analytic.kerr_kmax_stability", check_kerr_kmax_stability),
+        ("analytic.kerr_bessel_weights", check_kerr_bessel_weights),
         ("analytic.kerr_short_time", check_kerr_short_time),
         ("master.fixed_point", check_master_fixed_point),
         ("master.dense_generator", check_master_dense_generator),

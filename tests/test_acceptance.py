@@ -116,7 +116,7 @@ def test_criterion_4_kerr_cross_engine():
     times = np.linspace(0.0, 2.0 * math.pi, 200)
     max_err = max(
         abs((1.0 - fock.purity(joint.evolve_kerr_reduced(alpha0, nbar, float(t), cfg)))
-            - kerr_linear_entropy(float(t), p, kmax=kmax))
+            - kerr_linear_entropy(float(t), p))
         for t in times
     )
     assert max_err < 1e-8, f"route disagreement {max_err:.3e}"

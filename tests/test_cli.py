@@ -95,6 +95,16 @@ class TestSimulate:
         delta = np.abs(data["zeta_master_analytic"] - data["zeta_master_brute"])
         assert delta.max() < 1e-5
 
+    def test_oversized_master_run_is_numerical_failure(self, tmp_path, capsys):
+        out = tmp_path / "sim.csv"
+        code = main([
+            "simulate", "--model", "master", "--engine", "brute-force", "--alpha0", "30",
+            "--nbar", "0", "--points", "2", "--output", str(out),
+        ])
+        assert code == 1
+        assert "too large" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("model,nbar", [("master", "inf"), ("amplitude", "nan")])
     def test_non_finite_nbar_is_usage_error(self, tmp_path, model, nbar):
         out = tmp_path / "sim.csv"

@@ -176,35 +176,6 @@ class TestPurity:
         assert 1.0 / dim - 1e-9 <= pur <= 1.0 + 1e-9
 
 
-class TestEigendecomposition:
-    def test_sorted_diagonal(self):
-        dec = fock.hermitian_eigendecompose(fock.single_mode(np.diag([3.0, 1.0, 2.0])))
-        assert np.allclose(dec.eigenvalues, [1.0, 2.0, 3.0], atol=1e-14)
-
-    def test_flip_matrix(self):
-        dec = fock.hermitian_eigendecompose(
-            fock.single_mode(np.array([[0.0, 1.0], [1.0, 0.0]]))
-        )
-        assert np.allclose(dec.eigenvalues, [-1.0, 1.0], atol=1e-14)
-
-    def test_number_operator_spectrum(self):
-        dec = fock.hermitian_eigendecompose(fock.number_operator(10))
-        assert np.abs(dec.eigenvalues - np.arange(11)).max() <= 1e-12
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(ValueError):
-            fock.hermitian_eigendecompose(fock.annihilation(4))
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 16))
-    def test_reconstruction(self, seed, dim):
-        h = random_hermitian(np.random.default_rng(seed), dim)
-        dec = fock.hermitian_eigendecompose(fock.single_mode(h))
-        scale = max(1.0, float(np.abs(h).max()))
-        assert np.abs(dec.reconstruct() - h).max() <= 1e-10 * dim * scale
-        assert np.all(np.diff(dec.eigenvalues) >= -1e-14)
-
-
 class TestTraceLinearity:
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 2**32 - 1))

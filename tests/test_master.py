@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from minienv import fock, master, states
-from minienv.errors import NumericalContractError
+from minienv.errors import MiniEnvError, NumericalContractError
 from minienv.models import Model, ModelParams
 
 
@@ -111,6 +111,13 @@ class TestEvolve:
         rho[0, 1] = 0.1
         with pytest.raises(NumericalContractError):
             master.evolve_master(fock.single_mode(rho), cfg, [0.0, 1.0])
+
+    @pytest.mark.parametrize("points", [2, 300])
+    def test_refuses_oversized_run(self, points):
+        # |alpha0| = 30 at nbar = 0 needs d = 1098: one block step alone is d^4 = 1.5e12
+        cfg = master.LindbladConfig(gamma=1.0, nbar=0.0, cutoff=1097)
+        with pytest.raises(MiniEnvError, match="dimension 1098"):
+            master.evolve_master(fock.identity(1097), cfg, np.linspace(0.0, 3.0, points))
 
     def test_free_rotation_leaves_purity(self):
         cutoff = master.default_cutoff(1.5, 1.0)

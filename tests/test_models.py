@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from minienv import models
-from minienv.errors import CutoffTooSmallError, NumericalContractError
+from minienv.errors import MiniEnvError, NumericalContractError
 from minienv.models import EntropySeries, Model, ModelParams
 
 
@@ -159,15 +159,26 @@ class TestKerrEntropy:
         closed = (4.0 / 9.0) * (1.0 - math.exp(-4.0))
         assert oracle == pytest.approx(closed, abs=1e-12)
         got = models.kerr_linear_entropy(math.pi, params(Model.KERR, nbar=1.0, alpha0=1.0))
-        assert got == pytest.approx(closed, abs=2e-8)
+        assert got == pytest.approx(closed, abs=1e-13)
 
-    def test_kmax_stability(self):
-        p = params(Model.KERR, nbar=2.0, alpha0=1.5)
-        ts = np.linspace(0.0, 3.0, 40)
-        kmax = models.kerr_kmax(2.0)
-        base = models.kerr_linear_entropy(ts, p, kmax=kmax)
-        more = models.kerr_linear_entropy(ts, p, kmax=kmax + 10)
-        assert np.abs(base - more).max() <= 2.0 * models.KERR_TAIL_TOL
+    @pytest.mark.parametrize("alpha0,nbar", [(1.0, 1.0), (1.5, 2.0), (0.5, 0.3)])
+    def test_matches_literal_double_sum(self, alpha0, nbar):
+        p = params(Model.KERR, alpha0=alpha0, nbar=nbar)
+        for t in (0.3, 1.1, 2.5, 4.0):
+            want = brute_kerr_double_sum(t, alpha0, nbar)
+            assert models.kerr_linear_entropy(t, p) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("nbar", [1e4, 1e6])
+    def test_large_nbar(self, nbar):
+        series = models.entropy_series(
+            params(Model.KERR, alpha0=5.0, nbar=nbar), np.linspace(0.0, 3.0, 2000)
+        )
+        assert series.zeta[0] == 0.0
+        # no order n <= 100 is resonant at t = 1, so every s_n is O(nbar^2) and
+        # zeta = 1 - exp(-x) I_0(x) at x = 2 |alpha0|^2, up to O(1/nbar^2)
+        got = models.kerr_linear_entropy(1.0, params(Model.KERR, alpha0=5.0, nbar=nbar))
+        want = 1.0 - math.exp(-50.0) * float(np.i0(50.0))
+        assert got == pytest.approx(want, abs=10.0 / nbar**2)
 
     def test_periodicity(self):
         p = params(Model.KERR, nbar=1.5, rate=1.3)
@@ -175,9 +186,14 @@ class TestKerrEntropy:
         shift = models.kerr_linear_entropy(ts + 2.0 * math.pi / 1.3, p)
         assert np.abs(shift - models.kerr_linear_entropy(ts, p)).max() <= 1e-12
 
-    def test_rejects_undersized_kmax(self):
-        with pytest.raises(CutoffTooSmallError):
-            models.kerr_linear_entropy(1.0, params(Model.KERR, nbar=25.0), kmax=5)
+    def test_refuses_alpha0_beyond_bessel_order_limit(self):
+        # 9 sqrt(2) 1e5 + 32 orders is above MAX_BESSEL_ORDER = 2^20
+        with pytest.raises(MiniEnvError, match="Bessel orders"):
+            models.kerr_linear_entropy(1.0, params(Model.KERR, alpha0=1e5))
+
+    def test_nbar_overflow_is_reported(self):
+        with pytest.raises(OverflowError):
+            models.kerr_linear_entropy(1.0, params(Model.KERR, nbar=1e200))
 
     def test_short_time_quadratic(self):
         # Richardson extrapolation of zeta/t^2; the limit is the curvature

@@ -62,6 +62,12 @@ class TestCoherentState:
         c = states.min_cutoff_for_coherent(30.0, 1e-10)
         assert states.coherent_tail(30.0, c) < 1e-10 <= states.coherent_tail(30.0, c - 1)
 
+    @pytest.mark.parametrize("alpha", [27.0, 30.0, 100.0])
+    def test_min_cutoff_settled_by_direct_tail(self, alpha):
+        # at |alpha| = 100 the summed mass alone stops at 10640, whose tail is 1.15e-10
+        c = states.min_cutoff_for_coherent(alpha, 1e-10)
+        assert states.coherent_tail(alpha, c) < 1e-10 <= states.coherent_tail(alpha, c - 1)
+
     def test_min_cutoff_unresolvable_tolerance(self):
         with pytest.raises(CutoffTooSmallError, match="tail mass"):
             states.min_cutoff_for_coherent(5.0, 1e-30)
@@ -123,7 +129,7 @@ class TestDisplacedThermal:
     def test_displaced_vacuum_matches_coherent(self):
         coherent = states.coherent_state(states.CoherentSpec(2.0, 40))
         displaced = states.displaced_thermal_state(2.0, 0.0, 40)
-        assert fock.fidelity(coherent, displaced) >= 1.0 - 1e-8
+        assert fock.trace_distance(coherent, displaced) <= 1e-12
 
     def test_purity_independent_of_displacement(self):
         rho = states.displaced_thermal_state(3.0, 0.5, 60, tol=1e-8)
