@@ -20,8 +20,6 @@ from .fock import (
     FockOperator,
     annihilation,
     identity,
-    linear_entropy,
-    number_operator,
     partial_trace_b,
     purity,
     tensor,
@@ -32,7 +30,6 @@ from .joint import (
     AmplitudeEvolver,
     JointConfig,
     build_joint_hamiltonian,
-    evolve_amplitude,
     evolve_kerr_joint,
     evolve_kerr_reduced,
     mean_occupation_exchange,
@@ -60,7 +57,6 @@ from .models import (
     master_solution_params,
     measured_decoherence_time,
     p_function_gaussian,
-    recurrence_time,
 )
 from .states import (
     CoherentSpec,
@@ -69,6 +65,5 @@ from .states import (
     coherent_state,
     displaced_thermal_state,
     displacement_operator,
-    nbar_of_temperature,
     thermal_state,
 )

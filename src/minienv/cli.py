@@ -96,6 +96,10 @@ class RunSpec:
             raise ValueError(f"engine must be one of {ENGINES}")
         if not self.models:
             raise ValueError("at least one model is required")
+        for name in ("tail_tol", "joint_tail_tol"):
+            value = getattr(self, name)
+            if not 0.0 < value < 1.0:
+                raise ValueError(f"{name} must be in (0, 1), got {value:g}")
 
 
 def _parse_models(text: str) -> tuple[Model, ...]:

@@ -95,12 +95,6 @@ def annihilation(cutoff: int) -> FockOperator:
     return single_mode(mat)
 
 
-def number_operator(cutoff: int) -> FockOperator:
-    if cutoff < 0:
-        raise ValueError(f"cutoff must be nonnegative, got {cutoff}")
-    return single_mode(np.diag(np.arange(cutoff + 1, dtype=np.float64)))
-
-
 def trace(op: FockOperator) -> complex:
     return complex(np.trace(op.entries))
 
@@ -145,10 +139,6 @@ def purity(rho: FockOperator, trace_tol: float = 1e-3) -> float:
             f"density matrix trace {tr:.12g} deviates from 1 beyond tolerance {trace_tol:g}"
         )
     return float(np.vdot(rho.entries, rho.entries).real)
-
-
-def linear_entropy(rho: FockOperator, trace_tol: float = 1e-3) -> float:
-    return 1.0 - purity(rho, trace_tol=trace_tol)
 
 
 def trace_distance(a: FockOperator, b: FockOperator) -> float:

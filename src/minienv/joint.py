@@ -51,7 +51,6 @@ class JointConfig:
     cutoff_b: int
     coupling: float
     model: Model
-    omega: float = 0.0
     max_joint_dim: int | None = None
 
     def __post_init__(self):
@@ -62,8 +61,6 @@ class JointConfig:
             raise ValueError("per-mode cutoffs must be at least 1")
         if self.coupling <= 0:
             raise ValueError(f"coupling must be positive, got {self.coupling}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be nonnegative, got {self.omega}")
         cap = joint_dim_cap(self.max_joint_dim)
         if self.joint_dim > cap:
             raise ValueError(
@@ -83,24 +80,17 @@ class JointConfig:
 def build_joint_hamiltonian(cfg: JointConfig) -> FockOperator:
     """Hermitian two-mode Hamiltonian (mode A is the slow tensor index).
 
-    Exchange model: coupling (ad b + a bd) plus omega (na + nb).
-    Cross-Kerr model: diagonal coupling * na * nb plus omega (na + nb).
+    Exchange model: coupling (ad b + a bd).
+    Cross-Kerr model: diagonal coupling * na * nb.
     """
     da, db = cfg.dims
-    na = np.arange(da, dtype=float)
-    nb = np.arange(db, dtype=float)
     if cfg.model is Model.KERR:
-        diag = cfg.coupling * np.multiply.outer(na, nb)
-        if cfg.omega != 0.0:
-            diag = diag + cfg.omega * (na[:, None] + nb[None, :])
+        diag = cfg.coupling * np.multiply.outer(np.arange(da, dtype=float),
+                                                np.arange(db, dtype=float))
         return two_mode(np.diag(diag.ravel()).astype(np.complex128), (da, db))
     a = np.diag(np.sqrt(np.arange(1.0, da)), k=1).astype(np.complex128)
     b = np.diag(np.sqrt(np.arange(1.0, db)), k=1).astype(np.complex128)
     h = cfg.coupling * (np.kron(a.conj().T, b) + np.kron(a, b.conj().T))
-    if cfg.omega != 0.0:
-        h = h + cfg.omega * (
-            np.kron(np.diag(na), np.eye(db)) + np.kron(np.eye(da), np.diag(nb))
-        )
     return two_mode(h, (da, db))
 
 
@@ -175,13 +165,6 @@ def _cached_amplitude_evolver(alpha0: complex, nbar: float, cfg: JointConfig,
     return AmplitudeEvolver(alpha0, nbar, cfg, tail_tol=tail_tol)
 
 
-def evolve_amplitude(alpha0: complex, nbar: float, t: float, cfg: JointConfig,
-                     tail_tol: float = DEFAULT_TAIL_TOL) -> FockOperator:
-    """Reduced system state of the exchange model at time t."""
-    evolver = _cached_amplitude_evolver(complex(alpha0), float(nbar), cfg, tail_tol)
-    return evolver.reduced_state(t)
-
-
 def evolve_kerr_reduced(alpha0: complex, nbar: float, t: float, cfg: JointConfig,
                         tail_tol: float = DEFAULT_TAIL_TOL) -> FockOperator:
     """Reduced cross-Kerr state: thermal mixture of phase-rotated coherent
@@ -194,7 +177,7 @@ def evolve_kerr_reduced(alpha0: complex, nbar: float, t: float, cfg: JointConfig
     weights = thermal_weights(nbar, cfg.cutoff_b)
     n = np.arange(da, dtype=float)
     k = np.arange(db, dtype=float)
-    phases = np.exp(-1j * t * np.multiply.outer(n, cfg.coupling * k + cfg.omega))
+    phases = np.exp(-1j * t * np.multiply.outer(n, cfg.coupling * k))
     cols = amps[:, None] * phases
     rho = (cols * weights[None, :]) @ cols.conj().T
     return single_mode(rho)
@@ -211,11 +194,8 @@ def evolve_kerr_joint(alpha0: complex, nbar: float, t: float, cfg: JointConfig,
     amps = coherent_amplitudes(alpha0, cfg.cutoff_a)
     weights = thermal_weights(nbar, cfg.cutoff_b)
     rho0 = np.kron(np.outer(amps, amps.conj()), np.diag(weights).astype(np.complex128))
-    na = np.arange(da, dtype=float)
-    nb = np.arange(db, dtype=float)
-    energies = cfg.coupling * np.multiply.outer(na, nb) + cfg.omega * (
-        na[:, None] + nb[None, :]
-    )
+    energies = cfg.coupling * np.multiply.outer(np.arange(da, dtype=float),
+                                                np.arange(db, dtype=float))
     phases = np.exp(-1j * t * energies.ravel())
     return two_mode(phases[:, None] * rho0 * phases.conj()[None, :], (da, db))
 

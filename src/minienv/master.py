@@ -3,11 +3,10 @@
 The dissipator acts on a single truncated mode,
 
     d rho/dt = g (1+nbar) (2 a rho ad - n rho - rho n)
-             + g nbar     (2 ad rho a - a ad rho - rho a ad),
+             + g nbar     (2 ad rho a - a ad rho - rho a ad).
 
-optionally together with the free rotation -i omega [n, rho], which cancels in
-every purity.  Every term maps the k-th diagonal x_k[m] = rho[m, m+k] onto
-itself, so the generator splits into d tridiagonal blocks of size d - k, each
+Every term maps the k-th diagonal x_k[m] = rho[m, m+k] onto itself, so the
+generator splits into d real tridiagonal blocks of size d - k, each
 propagated exactly by its matrix exponential; there is no time step to choose.
 The blocks use only the truncated matrix elements, never the closed-form bath
 solution, so the engine stays an independent check of the closed forms.
@@ -34,12 +33,11 @@ MAX_RUN_SIZE = 1 << 30
 
 @dataclass(frozen=True)
 class LindbladConfig:
-    """Decay rate, bath occupation, truncation and free rotation frequency."""
+    """Decay rate, bath occupation and truncation."""
 
     gamma: float
     nbar: float
     cutoff: int
-    omega: float = 0.0
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -48,8 +46,6 @@ class LindbladConfig:
             raise ValueError(f"nbar must be nonnegative, got {self.nbar}")
         if self.cutoff < 1:
             raise ValueError(f"cutoff must be at least 1, got {self.cutoff}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be nonnegative, got {self.omega}")
 
 
 def _mode_ops(cutoff: int):
@@ -71,8 +67,6 @@ def lindblad_rhs(rho: FockOperator, cfg: LindbladConfig) -> FockOperator:
     if cfg.nbar > 0:
         g_up = cfg.gamma * cfg.nbar
         out += g_up * (2.0 * (ad @ r @ a) - a_ad @ r - r @ a_ad)
-    if cfg.omega != 0.0:
-        out += -1j * cfg.omega * (num @ r - r @ num)
     return single_mode(out)
 
 
@@ -141,8 +135,7 @@ def evolve_master(rho0: FockOperator, cfg: LindbladConfig, times) -> list[FockOp
         m = np.arange(size)
         # x[m] = rho[m, m+k] couples to x[m +- 1] through a[m, m+1] a[m+k, m+k+1]
         hop = s[: size - 1] * s[k:]
-        gen = (np.diag(-g_down * (n[:size] + n[k:]) - g_up * (c[:size] + c[k:])
-                       - 1j * cfg.omega * (n[:size] - n[k:]))
+        gen = (np.diag(-g_down * (n[:size] + n[k:]) - g_up * (c[:size] + c[k:]))
                + np.diag(2.0 * g_down * hop, 1) + np.diag(2.0 * g_up * hop, -1))
         propagators: dict[float, np.ndarray] = {}
         x = np.diagonal(r0, k)

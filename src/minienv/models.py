@@ -42,28 +42,24 @@ class Model(str, Enum):
 @dataclass(frozen=True)
 class ModelParams:
     """Shared parameter bundle: initial amplitude, environment occupation,
-    coupling/decay rate, model tag, and optional natural frequency."""
+    coupling/decay rate and model tag."""
 
     alpha0: complex
     nbar: float
     rate: float
     model: Model
-    omega: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "alpha0", complex(self.alpha0))
         object.__setattr__(self, "nbar", float(self.nbar))
         object.__setattr__(self, "rate", float(self.rate))
-        object.__setattr__(self, "omega", float(self.omega))
         object.__setattr__(self, "model", Model(self.model))
-        if not np.all(np.isfinite([self.alpha0, self.nbar, self.rate, self.omega])):
-            raise ValueError("alpha0, nbar, rate and omega must be finite")
+        if not np.all(np.isfinite([self.alpha0, self.nbar, self.rate])):
+            raise ValueError("alpha0, nbar and rate must be finite")
         if self.rate <= 0:
             raise ValueError(f"rate must be positive, got {self.rate}")
         if self.nbar < 0:
             raise ValueError(f"nbar must be nonnegative, got {self.nbar}")
-        if self.omega < 0:
-            raise ValueError(f"omega must be nonnegative, got {self.omega}")
 
 
 @dataclass(frozen=True)
@@ -95,7 +91,7 @@ def _scalar_like(t, values):
 
 
 def master_linear_entropy(t, p: ModelParams):
-    """1 - 1/(1 + 2 nbar (1 - exp(-2 rate t))); independent of alpha0 and omega."""
+    """1 - 1/(1 + 2 nbar (1 - exp(-2 rate t))); independent of alpha0."""
     _require_model(p, Model.MASTER, "master_linear_entropy")
     tt = _check_times(t)
     x = 2.0 * p.nbar * (-np.expm1(-2.0 * p.rate * tt))
@@ -110,6 +106,24 @@ def amplitude_linear_entropy(t, p: ModelParams):
     return _scalar_like(t, 1.0 - 1.0 / (1.0 + x))
 
 
+def _series_argument(alpha0: complex) -> float:
+    """x = 2 |alpha0|^2 of the cross-Kerr series.
+
+    Its ceil(9 sqrt(x) + 32) Bessel orders are checked against
+    MAX_BESSEL_ORDER on |alpha0| itself, before squaring, so an |alpha0| whose
+    square would overflow is refused by name too.
+    """
+    a = abs(alpha0)
+    orders = 9.0 * math.sqrt(2.0) * a + 32.0
+    if not orders <= MAX_BESSEL_ORDER:
+        limit = (MAX_BESSEL_ORDER - 32.0) / (9.0 * math.sqrt(2.0))
+        raise MiniEnvError(
+            f"|alpha0| = {a:.6g} needs {orders:.6g} Bessel orders; the limit is "
+            f"{MAX_BESSEL_ORDER}, reached at |alpha0| = {limit:.6g}"
+        )
+    return 2.0 * a ** 2
+
+
 def bessel_weights(x: float) -> np.ndarray:
     """Weights e^{-x} I_n(x) for n = 0 .. ceil(9 sqrt(x) + 32).
 
@@ -119,11 +133,6 @@ def bessel_weights(x: float) -> np.ndarray:
     Over all integer orders (w_{-n} = w_n) they sum to 1.
     """
     orders = math.ceil(9.0 * math.sqrt(x) + 32.0)
-    if orders > MAX_BESSEL_ORDER:
-        raise MiniEnvError(
-            f"|alpha0|^2 = {x / 2:.6g} needs {orders} Bessel orders; the limit is "
-            f"{MAX_BESSEL_ORDER}"
-        )
     grid = 1 << (2 * orders - 1).bit_length()
     sin_half = np.sin(np.pi / grid * np.arange(grid))
     dephase = np.exp(-2.0 * x * sin_half ** 2)
@@ -141,7 +150,7 @@ def kerr_linear_entropy(t, p: ModelParams):
     """
     _require_model(p, Model.KERR, "kerr_linear_entropy")
     tt = _check_times(t)
-    w = bessel_weights(2.0 * abs(p.alpha0) ** 2)
+    w = bessel_weights(_series_argument(p.alpha0))
     gain = 4.0 * p.nbar * (p.nbar + 1.0)
     if math.isinf(gain):
         raise OverflowError(f"4 nbar (nbar + 1) overflows at nbar={p.nbar:g}")
@@ -178,16 +187,15 @@ def master_solution_params(t: float, p: ModelParams) -> tuple[complex, float]:
 def heisenberg_coeffs(t: float, p: ModelParams) -> tuple[complex, complex]:
     """Mode-mixing coefficients (A, B) of the exchange coupling; |A|^2+|B|^2 = 1."""
     _require_model(p, Model.AMPLITUDE, "heisenberg_coeffs")
-    phase = np.exp(-1j * p.omega * t)
-    return complex(phase * math.cos(p.rate * t)), complex(-1j * phase * math.sin(p.rate * t))
+    return complex(math.cos(p.rate * t)), complex(-1j * math.sin(p.rate * t))
 
 
 def p_function_gaussian(t: float, p: ModelParams) -> PFunctionGaussian:
     """Gaussian coherent-state weight of the reduced state: width nbar sin^2(rate t),
-    center alpha0 exp(-i omega t) cos(rate t)."""
+    center alpha0 cos(rate t)."""
     _require_model(p, Model.AMPLITUDE, "p_function_gaussian")
     width = p.nbar * math.sin(p.rate * t) ** 2
-    center = p.alpha0 * complex(np.exp(-1j * p.omega * t)) * math.cos(p.rate * t)
+    center = p.alpha0 * math.cos(p.rate * t)
     return PFunctionGaussian(center=center, width=width)
 
 
@@ -245,11 +253,10 @@ def analytic_plateau(p: ModelParams) -> float:
     base = 2.0 * p.nbar / (1.0 + 2.0 * p.nbar)
     if p.model is not Model.KERR:
         return base
-    a2 = abs(p.alpha0) ** 2
-    if a2 == 0:
+    if p.alpha0 == 0:
         return 0.0
     w0 = 1.0 / (1.0 + 2.0 * p.nbar)
-    return 1.0 - w0 - (1.0 - w0) * bessel_weights(2.0 * a2)[0]
+    return 1.0 - w0 - (1.0 - w0) * bessel_weights(_series_argument(p.alpha0))[0]
 
 
 def decoherence_time_estimate(p: ModelParams) -> float:
@@ -286,12 +293,3 @@ def measured_decoherence_time(series: EntropySeries) -> float | None:
     z0, z1 = series.zeta[i - 1], series.zeta[i]
     return float(t0 + (target - z0) * (t1 - t0) / (z1 - z0))
 
-
-def recurrence_time(p: ModelParams) -> float | None:
-    """Period after which the reversible models return to the initial pure state;
-    None for the irreversible bath model."""
-    if p.model is Model.AMPLITUDE:
-        return math.pi / p.rate
-    if p.model is Model.KERR:
-        return 2.0 * math.pi / p.rate
-    return None

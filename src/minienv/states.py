@@ -9,11 +9,12 @@ tolerance instead of silently degrading.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import CutoffTooSmallError
+from .errors import CutoffTooSmallError, MiniEnvError
 from .fock import FockOperator, single_mode
 
 # Default tail tolerance for single-mode work.  Joint-space brute force uses a
@@ -22,14 +23,6 @@ DEFAULT_TAIL_TOL = 1e-10
 
 _MAX_SCAN = 1_000_000
 _LOG_UNDERFLOW = -700.0   # exp() of anything above stays a normal float
-
-
-def nbar_of_temperature(hbar_omega_over_kT: float) -> float:
-    """Mean thermal occupation 1/(exp(x) - 1) for x = (level spacing)/(kT)."""
-    x = float(hbar_omega_over_kT)
-    if not x > 0.0:
-        raise ValueError(f"temperature ratio must be positive, got {x}")
-    return 1.0 / math.expm1(x)
 
 
 def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
@@ -48,11 +41,19 @@ def coherent_amplitudes(alpha: complex, cutoff: int) -> np.ndarray:
 
 
 def coherent_tail(alpha: complex, cutoff: int) -> float:
-    """Poisson mass discarded beyond the cutoff, summed upward in log space."""
+    """Poisson mass discarded beyond the cutoff, summed upward in log space.
+
+    Below the mode |alpha|^2 the terms grow with n, so every kept term is
+    smaller than the first discarded one: if that one is below the normal
+    float range, the kept mass is too and the tail is 1.  Above the mode the
+    sum stops once a term no longer counts.
+    """
     a2 = abs(complex(alpha)) ** 2
     if a2 == 0.0:
         return 0.0
     log_term = -a2 + (cutoff + 1) * math.log(a2) - math.lgamma(cutoff + 2)
+    if cutoff + 1 < a2 and log_term < _LOG_UNDERFLOW:
+        return 1.0
     term = math.exp(log_term)
     total = 0.0
     n = cutoff + 1
@@ -60,7 +61,7 @@ def coherent_tail(alpha: complex, cutoff: int) -> float:
         total += term
         n += 1
         term *= a2 / n
-        if term <= total * 1e-18 + 1e-300:
+        if n > a2 and term <= total * 1e-18 + 1e-300:
             break
     return min(total, 1.0)
 
@@ -88,36 +89,29 @@ def thermal_tail(nbar: float, cutoff: int) -> float:
 def min_cutoff_for_coherent(alpha: complex, tol: float) -> int:
     """Smallest cutoff c with coherent_tail(alpha, c) < tol <= coherent_tail(alpha, c - 1).
 
-    A scan of the summed mass finds the neighbourhood; it skips the leading
-    terms that underflow, so it works at any |alpha|, and a tol that the summed
-    mass cannot resolve raises CutoffTooSmallError.  Roundoff in that sum grows
-    with |alpha|, so the answer is settled with the directly summed tail.
+    Found by doubling and then bisection on the directly summed tail.  An
+    |alpha| whose square overflows is refused with a MiniEnvError.
     """
-    a2 = abs(complex(alpha)) ** 2
-    if a2 == 0.0:
+    if not tol > 0.0:
+        raise ValueError(f"tail tolerance must be positive, got {tol}")
+    a = abs(complex(alpha))
+    if math.isinf(a * a):
+        raise MiniEnvError(
+            f"coherent amplitude |alpha0| = {a:.6g} is above {math.sqrt(sys.float_info.max):.6g},"
+            f" where |alpha0|^2 overflows"
+        )
+    if coherent_tail(alpha, 0) < tol:
         return 0
-    log_a2 = math.log(a2)
-    c = 0
-    while c * log_a2 - a2 - math.lgamma(c + 1) < _LOG_UNDERFLOW:
-        c += 1
-    term = math.exp(c * log_a2 - a2 - math.lgamma(c + 1))
-    cum = term
-    while 1.0 - cum >= tol:
-        c += 1
-        if c > _MAX_SCAN:
-            raise ValueError(f"no cutoff below {_MAX_SCAN} reaches tail < {tol}")
-        term *= a2 / c
-        if c > a2 and cum + term == cum:
-            raise CutoffTooSmallError(
-                f"coherent state alpha={complex(alpha)}: tail mass cannot be brought "
-                f"below tolerance {tol:.3e} in double precision"
-            )
-        cum += term
-    while coherent_tail(alpha, c) >= tol:
-        c += 1
-    while c > 0 and coherent_tail(alpha, c - 1) < tol:
-        c -= 1
-    return c
+    lo, hi = 0, 1   # coherent_tail(alpha, lo) >= tol throughout
+    while coherent_tail(alpha, hi) >= tol:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if coherent_tail(alpha, mid) < tol:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def min_cutoff_for_thermal(nbar: float, tol: float) -> int:

@@ -172,17 +172,47 @@ class TestSimulate:
     def test_unknown_model_is_usage_error(self, capsys):
         assert main(["simulate", "--model", "bogus"]) == 2
 
-    def test_cutoff_failure_surfaced_with_cause(self, tmp_path, capsys):
-        # an unreachable tail tolerance must fail with a readable cause, not a traceback
+    def test_tiny_tail_tolerance_is_resolved(self, tmp_path):
+        # 1e-30 is below what 1 - sum p_n resolves; the directly summed tail settles it
         out = tmp_path / "sim.csv"
         code = main([
-            "simulate", "--model", "master", "--engine", "brute-force",
+            "simulate", "--model", "master", "--engine", "both",
             "--alpha0", "5", "--nbar", "0", "--tail-tol", "1e-30",
             "--points", "5", "--tmax", "1", "--output", str(out),
         ])
-        assert code == 1
+        assert code == 0
+        _, _, data = read_csv(out)
+        assert np.abs(data["zeta_master_brute"] - data["zeta_master_analytic"]).max() < 1e-12
+
+    @pytest.mark.parametrize("key", ["tail_tol", "joint_tail_tol"])
+    @pytest.mark.parametrize("value", ["0", "-1", "1", "2", "nan"])
+    def test_tail_tolerance_outside_unit_interval_is_usage_error(
+        self, tmp_path, capsys, key, value
+    ):
+        out = tmp_path / "sim.csv"
+        spec = tmp_path / "run.spec"
+        spec.write_text(f"{key} = {value}\n")
+        flag = "--" + key.replace("_", "-")
+        for argv in ([flag, value], ["--spec", str(spec)]):
+            code = main(["simulate", "--engine", "both", "--output", str(out), *argv])
+            assert code == 2
+            assert f"{key} must be in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("model,engine,code", [
+        ("master", "analytic", 0), ("amplitude", "analytic", 0),
+        ("master", "brute-force", 1), ("amplitude", "brute-force", 1),
+        ("kerr", "analytic", 1), ("kerr", "brute-force", 1),
+    ])
+    def test_alpha0_whose_square_overflows(self, tmp_path, capsys, model, engine, code):
+        out = tmp_path / "sim.csv"
+        argv = ["simulate", "--model", model, "--engine", engine, "--alpha0", "1e200",
+                "--points", "5", "--output", str(out)]
+        assert main(argv) == code
         err = capsys.readouterr().err
-        assert "tail mass" in err and "error:" in err
+        if code:
+            assert "|alpha0| = 1e+200" in err and "numerical overflow" not in err
+            assert not out.exists()
 
     def test_metadata_echo_is_complete(self, tmp_path):
         out = tmp_path / "sim.csv"

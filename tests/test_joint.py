@@ -8,12 +8,12 @@ from minienv.errors import CutoffTooSmallError
 from minienv.models import Model, ModelParams, amplitude_linear_entropy, kerr_linear_entropy
 
 
-def amplitude_cfg(cut_a=24, cut_b=24, coupling=1.0, omega=0.0):
-    return joint.JointConfig(cut_a, cut_b, coupling, Model.AMPLITUDE, omega=omega)
+def amplitude_cfg(cut_a=24, cut_b=24, coupling=1.0):
+    return joint.JointConfig(cut_a, cut_b, coupling, Model.AMPLITUDE)
 
 
-def kerr_cfg(cut_a=30, cut_b=40, coupling=1.0, omega=0.0):
-    return joint.JointConfig(cut_a, cut_b, coupling, Model.KERR, omega=omega)
+def kerr_cfg(cut_a=30, cut_b=40, coupling=1.0):
+    return joint.JointConfig(cut_a, cut_b, coupling, Model.KERR)
 
 
 class TestJointHamiltonian:
@@ -57,19 +57,19 @@ class TestJointHamiltonian:
 class TestAmplitudeEvolution:
     def test_initial_state(self):
         cfg = amplitude_cfg()
-        rho = joint.evolve_amplitude(1.0, 1.0, 0.0, cfg)
+        rho = joint.AmplitudeEvolver(1.0, 1.0, cfg).reduced_state(0.0)
         ref = states.coherent_state(states.CoherentSpec(1.0, cfg.cutoff_a))
         assert fock.trace_distance(rho, ref) < 1e-7
 
     def test_recurrence_returns_pure(self):
-        rho = joint.evolve_amplitude(1.0, 1.0, math.pi, amplitude_cfg())
+        rho = joint.AmplitudeEvolver(1.0, 1.0, amplitude_cfg()).reduced_state(math.pi)
         assert fock.purity(rho) == pytest.approx(1.0, abs=1e-6)
         # the returned amplitude carries the half-period sign flip
         a = fock.annihilation(24).entries
         assert np.trace(a @ rho.entries) == pytest.approx(-1.0, abs=1e-6)
 
     def test_swap_purity(self):
-        rho = joint.evolve_amplitude(1.0, 1.0, math.pi / 2.0, amplitude_cfg())
+        rho = joint.AmplitudeEvolver(1.0, 1.0, amplitude_cfg()).reduced_state(math.pi / 2.0)
         assert fock.purity(rho) == pytest.approx(1.0 / 3.0, abs=1e-6)
 
     def test_entropy_matches_closed_form_on_grid(self):
@@ -86,14 +86,6 @@ class TestAmplitudeEvolution:
         for t in (0.4, 1.2, 2.7):
             norms = np.linalg.norm(evolver.component_vectors(t), axis=0)
             assert np.abs(norms**4 - norms0**4).max() <= 1e-8
-
-    def test_omega_invariance_of_reduced_purity(self):
-        base = joint.AmplitudeEvolver(1.0, 1.0, amplitude_cfg())
-        rotated = joint.AmplitudeEvolver(1.0, 1.0, amplitude_cfg(omega=5.0))
-        for t in (0.5, 1.4):
-            pa = fock.purity(base.reduced_state(t))
-            pb = fock.purity(rotated.reduced_state(t))
-            assert abs(pa - pb) <= 1e-8
 
     def test_rejects_oversized_tails(self):
         with pytest.raises(CutoffTooSmallError):
@@ -141,13 +133,6 @@ class TestKerrEvolution:
             reduced = fock.partial_trace_b(full)
             direct = joint.evolve_kerr_reduced(1.0, 1.0, t, cfg, tail_tol=1e-3)
             assert np.abs(reduced.entries - direct.entries).max() <= 1e-10
-
-    def test_joint_construction_with_omega(self):
-        cfg = joint.JointConfig(10, 10, 1.0, Model.KERR, omega=2.0)
-        full = joint.evolve_kerr_joint(1.0, 1.0, 1.3, cfg, tail_tol=1e-2)
-        reduced = fock.partial_trace_b(full)
-        direct = joint.evolve_kerr_reduced(1.0, 1.0, 1.3, cfg, tail_tol=1e-2)
-        assert np.abs(reduced.entries - direct.entries).max() <= 1e-10
 
 
 class TestMeanOccupations:

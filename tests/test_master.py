@@ -90,7 +90,7 @@ class TestEvolve:
     def test_blocks_match_dense_generator(self, nbar):
         cutoff = 9
         d = cutoff + 1
-        cfg = master.LindbladConfig(gamma=0.8, nbar=nbar, cutoff=cutoff, omega=0.5)
+        cfg = master.LindbladConfig(gamma=0.8, nbar=nbar, cutoff=cutoff)
         basis = np.eye(d * d).reshape(d * d, d, d)
         dense = np.column_stack([
             master.lindblad_rhs(fock.single_mode(unit), cfg).entries.ravel() for unit in basis
@@ -118,20 +118,6 @@ class TestEvolve:
         cfg = master.LindbladConfig(gamma=1.0, nbar=0.0, cutoff=1097)
         with pytest.raises(MiniEnvError, match="dimension 1098"):
             master.evolve_master(fock.identity(1097), cfg, np.linspace(0.0, 3.0, points))
-
-    def test_free_rotation_leaves_purity(self):
-        cutoff = master.default_cutoff(1.5, 1.0)
-        times = np.linspace(0.0, 1.5, 10)
-        base = master.evolve_master(
-            coherent_rho(1.5, cutoff), master.LindbladConfig(1.0, 1.0, cutoff), times
-        )
-        rotated = master.evolve_master(
-            coherent_rho(1.5, cutoff),
-            master.LindbladConfig(1.0, 1.0, cutoff, omega=1.0),
-            times,
-        )
-        for s, r in zip(base, rotated):
-            assert abs(fock.purity(s) - fock.purity(r)) <= 1e-9
 
     def test_monotone_rise_to_plateau(self):
         cutoff = master.default_cutoff(1.5, 2.0)

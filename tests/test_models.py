@@ -10,8 +10,8 @@ from minienv.errors import MiniEnvError, NumericalContractError
 from minienv.models import EntropySeries, Model, ModelParams
 
 
-def params(model, alpha0=1.0, nbar=1.0, rate=1.0, omega=0.0):
-    return ModelParams(alpha0, nbar, rate, model, omega=omega)
+def params(model, alpha0=1.0, nbar=1.0, rate=1.0):
+    return ModelParams(alpha0, nbar, rate, model)
 
 
 def brute_kerr_double_sum(t, alpha0, nbar, rate=1.0, kmax=400):
@@ -56,9 +56,9 @@ class TestMasterEntropy:
         with pytest.raises(ValueError):
             models.master_linear_entropy(-0.1, params(Model.MASTER))
 
-    def test_independent_of_alpha0_and_omega(self):
+    def test_independent_of_alpha0(self):
         a = models.master_linear_entropy(0.7, params(Model.MASTER, alpha0=5.0))
-        b = models.master_linear_entropy(0.7, params(Model.MASTER, alpha0=0.3, omega=10.0))
+        b = models.master_linear_entropy(0.7, params(Model.MASTER, alpha0=0.3))
         assert a == b
 
 
@@ -92,9 +92,9 @@ class TestHeisenbergCoeffs:
         assert a == pytest.approx(-1.0, abs=1e-15) and abs(b) < 1e-12
 
     @settings(max_examples=50)
-    @given(st.floats(0.0, 20.0), st.floats(0.0, 5.0))
-    def test_normalized(self, t, omega):
-        a, b = models.heisenberg_coeffs(t, params(Model.AMPLITUDE, omega=omega))
+    @given(st.floats(0.0, 20.0))
+    def test_normalized(self, t):
+        a, b = models.heisenberg_coeffs(t, params(Model.AMPLITUDE))
         assert abs(a) ** 2 + abs(b) ** 2 == pytest.approx(1.0, abs=1e-14)
 
 
@@ -239,16 +239,6 @@ class TestSharedStructure:
             z = models.linear_entropy_of_model(ts, params(model, nbar=0.0))
             assert np.abs(z).max() <= 1e-14
 
-    def test_omega_invariance(self):
-        ts = np.linspace(0.0, 4.0, 60)
-        for model in Model:
-            base = models.linear_entropy_of_model(ts, params(model, nbar=1.5))
-            for omega in (1.0, 10.0):
-                rotated = models.linear_entropy_of_model(
-                    ts, params(model, nbar=1.5, omega=omega)
-                )
-                assert np.array_equal(base, rotated)
-
 
 class TestDecoherenceTimes:
     def test_estimates(self):
@@ -303,25 +293,10 @@ class TestDecoherenceTimes:
         assert models.measured_decoherence_time(series) is None
 
 
-class TestRecurrenceTime:
-    def test_amplitude(self):
-        assert models.recurrence_time(params(Model.AMPLITUDE, rate=2.0)) == pytest.approx(
-            math.pi / 2.0
-        )
-
-    def test_kerr(self):
-        assert models.recurrence_time(params(Model.KERR, rate=1.0)) == pytest.approx(
-            2.0 * math.pi
-        )
-
-    def test_master_irreversible(self):
-        assert models.recurrence_time(params(Model.MASTER)) is None
-
-
 class TestModelParams:
     @pytest.mark.parametrize("field,value", [
         ("alpha0", complex(1.0, math.nan)), ("nbar", math.inf),
-        ("rate", math.nan), ("omega", math.inf),
+        ("rate", math.nan),
     ])
     def test_rejects_non_finite(self, field, value):
         kwargs = dict(alpha0=1.0, nbar=1.0, rate=1.0, model=Model.KERR)

@@ -13,25 +13,6 @@ complex_amplitudes = st.complex_numbers(
 )
 
 
-class TestNbarOfTemperature:
-    def test_ln2_gives_one(self):
-        assert states.nbar_of_temperature(math.log(2.0)) == pytest.approx(1.0, abs=1e-14)
-
-    def test_cold_limit(self):
-        assert states.nbar_of_temperature(50.0) < 1e-20
-
-    def test_inverse_at_25(self):
-        assert states.nbar_of_temperature(math.log(26.0 / 25.0)) == pytest.approx(
-            25.0, rel=1e-12
-        )
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(ValueError):
-            states.nbar_of_temperature(0.0)
-        with pytest.raises(ValueError):
-            states.nbar_of_temperature(-1.0)
-
-
 class TestCoherentState:
     def test_vacuum(self):
         rho = states.coherent_state(states.CoherentSpec(0.0, 5))
@@ -58,7 +39,7 @@ class TestCoherentState:
             states.coherent_state(states.CoherentSpec(5.0, c - 1), tol=1e-6)
 
     def test_min_cutoff_scan_beyond_exp_underflow(self):
-        # exp(-900) underflows to 0, so the scan must not start from it
+        # exp(-900) underflows to 0, so the search must not stop on it
         c = states.min_cutoff_for_coherent(30.0, 1e-10)
         assert states.coherent_tail(30.0, c) < 1e-10 <= states.coherent_tail(30.0, c - 1)
 
@@ -69,8 +50,24 @@ class TestCoherentState:
         assert states.coherent_tail(alpha, c) < 1e-10 <= states.coherent_tail(alpha, c - 1)
 
     def test_min_cutoff_unresolvable_tolerance(self):
-        with pytest.raises(CutoffTooSmallError, match="tail mass"):
-            states.min_cutoff_for_coherent(5.0, 1e-30)
+        # 1 - sum p_n cannot resolve 1e-30; the directly summed tail can
+        c = states.min_cutoff_for_coherent(5.0, 1e-30)
+        assert states.coherent_tail(5.0, c) < 1e-30 <= states.coherent_tail(5.0, c - 1)
+
+    @pytest.mark.parametrize("tol", [0.0, -1.0, math.nan])
+    def test_min_cutoff_rejects_nonpositive_tolerance(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            states.min_cutoff_for_coherent(2.0, tol)
+
+    def test_tail_below_the_mode_is_one(self):
+        # every kept term is smaller than the first discarded one, which underflows
+        assert states.coherent_tail(30.0, 0) == 1.0
+        # the first discarded term is 1e-302, but the sum goes on past the mode
+        assert states.coherent_tail(27.25, 8) == pytest.approx(1.0, abs=1e-12)
+
+    def test_tail_gate_refuses_cutoff_far_below_the_mode(self):
+        with pytest.raises(CutoffTooSmallError):
+            states.coherent_state(states.CoherentSpec(30.0, 0))
 
     def test_trace_deficit_equals_tail(self):
         spec = states.CoherentSpec(2.0, 12)
