@@ -142,7 +142,9 @@ def evolve_master(rho0: FockOperator, cfg: LindbladConfig, times) -> list[FockOp
         for snap, step in zip(snaps, steps):
             if step > 0.0:
                 if step not in propagators:
-                    propagators[step] = expm(gen * step)
+                    # cast once, not at every product with the complex x; the
+                    # per-product casts also left a fragmented heap (+5 MB peak)
+                    propagators[step] = expm(gen * step).astype(np.complex128)
                 x = propagators[step] @ x
             # lower triangle first: on the main diagonal x is real and the upper write wins
             snap[m + k, m] = x.conj()
