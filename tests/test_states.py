@@ -62,7 +62,7 @@ class TestCoherentState:
     def test_tail_below_the_mode_is_one(self):
         # every kept term is smaller than the first discarded one, which underflows
         assert states.coherent_tail(30.0, 0) == 1.0
-        # the first discarded term is 1e-302, but the sum goes on past the mode
+        # the first discarded term is 6e-303, a normal float: the sum goes on past the mode
         assert states.coherent_tail(27.25, 8) == pytest.approx(1.0, abs=1e-12)
 
     def test_tail_gate_refuses_cutoff_far_below_the_mode(self):
